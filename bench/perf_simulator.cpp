@@ -210,32 +210,6 @@ BENCHMARK(BM_RingOscillatorPeriodRecorded)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-/// Multi-voltage dT sweep through the reference cache: Arg(1) warm-starts
-/// each run from the previous voltage's final state, Arg(0) runs cold.
-void BM_RoVoltageSweepDeltaT(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  for (auto _ : state) {
-    RingOscillatorConfig cfg;
-    cfg.num_tsvs = 2;
-    RingOscillator ro(cfg);
-    RoRunOptions opt;
-    opt.discard_cycles = 2;
-    opt.measure_cycles = 3;
-    opt.warm_start = warm;
-    RoReferenceCache cache(ro, opt);
-    double dt_sum = 0.0;
-    for (double vdd : {1.1, 0.95, 0.8}) {
-      ro.set_vdd(vdd);
-      dt_sum += cache.measure_delta_t_single(0).delta_t;
-    }
-    benchmark::DoNotOptimize(dt_sum);
-  }
-}
-BENCHMARK(BM_RoVoltageSweepDeltaT)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace rotsv
 

@@ -4,6 +4,7 @@
 // and the DfT control states the screening loop will drive -- is checked
 // up front, the EffiTest discipline of validating before committing test time.
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <set>
 
@@ -96,6 +97,10 @@ AnalysisReport analyze_campaign(const CampaignSpec& spec) {
     report.add(DiagCode::kBadCampaignGrid, DiagSeverity::kError, "grid", 0,
                format("campaign needs wafers/rows/cols >= 1, got %d/%d/%d",
                       spec.wafers, spec.rows, spec.cols));
+  } else if (!spec.grid_fits_int()) {
+    report.add(DiagCode::kBadCampaignGrid, DiagSeverity::kError, "grid", 0,
+               format("%dx%dx%d site grid exceeds %d sites", spec.wafers,
+                      spec.rows, spec.cols, INT_MAX));
   } else if (spec.total_dice() < 1) {
     report.add(DiagCode::kBadCampaignGrid, DiagSeverity::kError, "grid", 0,
                "wafer grid has no populated dice inside the wafer circle");

@@ -1,11 +1,103 @@
 #include "campaign/campaign_spec.hpp"
 
+#include <climits>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace rotsv {
+namespace {
+
+using Bands = std::vector<std::pair<double, double>>;
+
+double parse_double(const std::string& text, const char* what) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  require(end != text.c_str() && *end == '\0',
+          format("campaign spec: bad %s '%s'", what, text.c_str()));
+  return v;
+}
+
+/// Untrusted numbers never reach a static_cast<int> unchecked: a value
+/// outside [lo, hi], or with a fraction, is refused by key.
+int read_int(const JsonRecord& rec, const char* key, int lo, int hi) {
+  const double x = rec.get_number(key);
+  require(std::floor(x) == x && x >= lo && x <= hi,
+          format("campaign spec: '%s' must be an integer in [%d, %d], got %.17g",
+                 key, lo, hi, x));
+  return static_cast<int>(x);
+}
+
+int last_enumerator(Integrator) { return static_cast<int>(Integrator::kTrapezoidal); }
+int last_enumerator(MeterBackend) { return static_cast<int>(MeterBackend::kLfsr); }
+
+/// Encodes one listed field: enums as their int, vectors as %.17g lists.
+struct FieldWriter {
+  JsonRecord* rec;
+  template <typename T>
+  void operator()(const char* key, const T& value) const {
+    if constexpr (std::is_enum_v<T>) {
+      rec->set(key, static_cast<int>(value));
+    } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+      std::string csv;
+      for (double v : value) csv += format(",%.17g", v);
+      rec->set(key, csv.empty() ? csv : csv.substr(1));
+    } else if constexpr (std::is_same_v<T, Bands>) {
+      rec->set(key, bands_to_string(value));
+    } else {
+      rec->set(key, value);
+    }
+  }
+};
+
+struct FieldReader {
+  const JsonRecord& rec;
+  template <typename T>
+  void operator()(const char* key, T& value) const {
+    if constexpr (std::is_same_v<T, int>) {
+      value = read_int(rec, key, INT_MIN, INT_MAX);
+    } else if constexpr (std::is_enum_v<T>) {
+      value = static_cast<T>(read_int(rec, key, 0, last_enumerator(value)));
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      value = rec.get_uint64(key);
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = rec.get_number(key);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      value = rec.get_bool(key);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      value = rec.get_string(key);
+    } else if constexpr (std::is_same_v<T, Bands>) {
+      value = bands_from_string(rec.get_string(key));
+    } else {
+      value.clear();
+      for (const std::string& tok : split(rec.get_string(key), ",")) {
+        value.push_back(parse_double(tok, key));
+      }
+    }
+  }
+};
+
+/// One field's exact wire text, e.g. `4` or `"lot0"`.
+template <typename T>
+std::string field_text(const char* key, const T& value) {
+  JsonRecord one;
+  FieldWriter{&one}(key, value);
+  const std::string json = one.to_json();  // {"key":text}
+  const size_t start = std::strlen(key) + 4;
+  return json.substr(start, json.size() - start - 1);
+}
+
+JsonRecord listed_fields_record(const CampaignSpec& spec) {
+  JsonRecord rec;
+  visit_spec_fields(spec, FieldWriter{&rec});
+  return rec;
+}
+
+}  // namespace
 
 TsvFault DefectMix::draw(Rng& rng, double rho) const {
   const double scale = 1.0 + edge_bias * (2.0 * rho) * (2.0 * rho);
@@ -53,6 +145,9 @@ void CampaignSpec::validate() const {
   require(std::isfinite(tester.die_budget.max_seconds) &&
               tester.die_budget.max_seconds >= 0.0,
           "campaign: die_budget.max_seconds must be finite and >= 0");
+  require(grid_fits_int(),
+          format("campaign: %dx%dx%d site grid exceeds %d sites", wafers, rows,
+                 cols, INT_MAX));
   require(total_dice() >= 1, "campaign: wafer grid has no populated dice");
 }
 
@@ -82,6 +177,13 @@ int CampaignSpec::dice_per_wafer() const {
 
 int CampaignSpec::total_dice() const { return wafers * dice_per_wafer(); }
 
+bool CampaignSpec::grid_fits_int() const {
+  // rows * cols fits int64 for any ints; checking it first keeps the
+  // second product within int64 as well.
+  const int64_t per_wafer = static_cast<int64_t>(rows) * cols;
+  return per_wafer <= INT_MAX && per_wafer * wafers <= INT_MAX;
+}
+
 int CampaignSpec::die_index(int wafer, int row, int col) const {
   return (wafer * rows + row) * cols + col;
 }
@@ -96,22 +198,69 @@ void CampaignSpec::die_site(int index, int* wafer, int* row, int* col) const {
 }
 
 std::string CampaignSpec::fingerprint() const {
-  std::string volts;
-  for (double v : tester.voltages) volts += format("%.6g,", v);
-  // Retry/budget parameters are determinism-relevant: they change which
-  // attempt finally produced the stored verdict, so they gate resume too.
-  return format(
-      "lot=%s w=%d grid=%dx%d tsvs=%d seed=%llu mix=%.6g/%.6g/%.6g "
-      "open=[%.6g,%.6g]x[%.6g,%.6g] leak=[%.6g,%.6g] n=%d volts=%s cal=%d k=%.6g "
-      "retry=%d/%.6g/%.6g budget=%llu/%.6g",
-      lot_id.c_str(), wafers, rows, cols, tsvs_per_die,
-      static_cast<unsigned long long>(seed), mix.open_rate, mix.leak_rate,
-      mix.edge_bias, mix.open_r_min, mix.open_r_max, mix.open_x_min,
-      mix.open_x_max, mix.leak_r_min, mix.leak_r_max, tester.group_size,
-      volts.c_str(), tester.calibration_samples, tester.guard_band_sigma,
-      retry.retries, retry.ic_perturbation, retry.escalated_gmin,
-      static_cast<unsigned long long>(tester.die_budget.max_steps),
-      tester.die_budget.max_seconds);
+  return listed_fields_record(*this).to_json();
+}
+
+JsonRecord campaign_spec_to_record(const CampaignSpec& spec) {
+  JsonRecord rec = listed_fields_record(spec);
+  rec.set("threads", static_cast<uint64_t>(spec.threads));
+  return rec;
+}
+
+CampaignSpec campaign_spec_from_record(const JsonRecord& record) {
+  CampaignSpec spec;
+  visit_spec_fields(spec, FieldReader{record});
+  spec.threads = static_cast<size_t>(record.get_uint64("threads"));
+  return spec;
+}
+
+void require_same_campaign(const std::string& stored, const CampaignSpec& spec,
+                           const std::string& what) {
+  const std::string mine = spec.fingerprint();
+  if (stored == mine) return;
+  JsonRecord theirs;
+  std::string difference =
+      format("stored %s\n  this spec %s", stored.c_str(), mine.c_str());
+  if (JsonRecord::parse(stored, &theirs)) {
+    bool found = false;
+    visit_spec_fields(spec, [&](const char* key, const auto& value) {
+      if (found) return;
+      auto stored_value = value;
+      std::string stored_text = "absent";
+      try {
+        FieldReader{theirs}(key, stored_value);
+        stored_text = field_text(key, stored_value);
+      } catch (const Error&) {
+        // missing, mistyped or out of range: reported as "absent"
+      }
+      const std::string mine_text = field_text(key, value);
+      found = stored_text != mine_text;
+      if (found) {
+        difference = format("%s is %s there, %s here", key,
+                            stored_text.c_str(), mine_text.c_str());
+      }
+    });
+  }
+  throw ConfigError(format("%s belongs to a different campaign: %s",
+                           what.c_str(), difference.c_str()));
+}
+
+std::string bands_to_string(const Bands& bands) {
+  std::string out;
+  for (const auto& [lo, hi] : bands) out += format(",%.17g:%.17g", lo, hi);
+  return out.empty() ? out : out.substr(1);
+}
+
+Bands bands_from_string(const std::string& text) {
+  Bands bands;
+  for (const std::string& tok : split(text, ",")) {
+    const size_t colon = tok.find(':');
+    require(colon != std::string::npos,
+            format("campaign spec: bad band '%s' (want lo:hi)", tok.c_str()));
+    bands.emplace_back(parse_double(tok.substr(0, colon), "band low endpoint"),
+                       parse_double(tok.substr(colon + 1), "band high endpoint"));
+  }
+  return bands;
 }
 
 bool DieGroundTruth::defective() const {

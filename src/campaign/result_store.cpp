@@ -181,11 +181,8 @@ ResumeState load_resume_state(const std::string& path, const CampaignSpec& spec)
           format("resume: '%s' does not start with a campaign header", path.c_str()));
   require(static_cast<int>(header.get_number("version")) == kLogVersion,
           "resume: unsupported result-log version");
-  const std::string& fp = header.get_string("fingerprint");
-  require(fp == spec.fingerprint(),
-          format("resume: checkpoint belongs to a different campaign\n"
-                 "  log:  %s\n  spec: %s",
-                 fp.c_str(), spec.fingerprint().c_str()));
+  require_same_campaign(header.get_string("fingerprint"), spec,
+                        format("resume: checkpoint '%s'", path.c_str()));
 
   ResumeState state;
   state.skipped_lines = raw.skipped_lines;

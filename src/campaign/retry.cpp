@@ -18,8 +18,6 @@ RoRunOptions escalate_run(const RoRunOptions& base, const RetryPolicy& policy,
                           int attempt, uint64_t ic_stream) {
   RoRunOptions run = base;
   if (attempt <= 0) return run;
-  run.warm_start = false;
-  run.warm_start_guard = false;
   run.ic_perturbation = policy.ic_perturbation;
   run.ic_seed = ic_stream;
   if (attempt >= 2 && policy.escalated_gmin > 0.0) {

@@ -38,8 +38,7 @@ uint64_t retry_ic_stream(uint64_t campaign_seed, int die_index, int attempt);
 
 /// Run options for one rung of the ladder. Attempt 0 returns `base`
 /// unchanged (a clean first attempt must be bit-identical to a run without
-/// the containment layer). Later attempts disable warm starts: escalation
-/// wants independent starting points, not a snapshot of the failed run.
+/// the containment layer).
 RoRunOptions escalate_run(const RoRunOptions& base, const RetryPolicy& policy,
                           int attempt, uint64_t ic_stream);
 

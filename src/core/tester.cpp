@@ -101,16 +101,11 @@ TestReport PreBondTsvTester::test_die_tsv(const TsvFault& fault, Rng& rng) const
   RingOscillator ro(cfg);
   ro.apply_variation(config_.variation, rng);
 
-  // The reference cache memoizes nothing for a single TSV (one T1 + one T2
-  // per voltage either way) but carries the per-pattern warm-start slots
-  // when options.warm_start asks for them across the voltage sweep.
-  RoReferenceCache cache(ro, config_.run);
-
   TestReport report;
   for (size_t vi = 0; vi < config_.voltages.size(); ++vi) {
     const double vdd = config_.voltages[vi];
     ro.set_vdd(vdd);
-    const DeltaTResult d = cache.measure_delta_t(1);
+    const DeltaTResult d = measure_delta_t(ro, 1, config_.run);
     report.sim_steps += d.sim_steps;
     report.early_exits += d.early_exits;
 

@@ -1,7 +1,6 @@
 #include "ro/ro_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -27,7 +26,7 @@ TransientOptions make_transient_options(const RingOscillator& ro,
 
 /// Deterministic initial-condition perturbation for the retry ladder: a
 /// node-indexed voltage vector drawn from options.ic_seed. Handed to the
-/// transient as a warm start, so the rail scan and explicit ICs still
+/// transient as its initial voltages, so the rail scan and explicit ICs still
 /// override it -- supplies stay exact, only the free nodes get kicked.
 Vector perturbed_start(RingOscillator& ro, const RoRunOptions& options) {
   const size_t n = ro.circuit().nodes().unknown_count() + 1;
@@ -95,8 +94,7 @@ RoMeasurement measure_recorded(RingOscillator& ro, const RoRunOptions& options) 
 /// the step observer stops the run as soon as the measurement is complete or
 /// the tap has settled to a DC level. One window of max_time replaces the
 /// recorded path's first_window/max_time retry pair.
-RoMeasurement measure_streaming(RingOscillator& ro, const RoRunOptions& options,
-                                RoWarmState* warm) {
+RoMeasurement measure_streaming(RingOscillator& ro, const RoRunOptions& options) {
   if (options.transient_hook) options.transient_hook(options.transient_hook_ctx);
   TransientOptions topt = make_transient_options(ro, options, options.max_time, {});
   topt.record_waveforms = false;
@@ -122,15 +120,10 @@ RoMeasurement measure_streaming(RingOscillator& ro, const RoRunOptions& options,
     };
   }
 
-  const bool warm_started = warm != nullptr && warm->valid && options.warm_start;
-  if (warm_started) {
-    topt.warm_start_voltages = &warm->voltages;
-    topt.dt_initial = std::clamp(warm->h, topt.dt_min, topt.dt_max);
-  }
   Vector perturbed;
   if (options.ic_perturbation > 0.0) {
     perturbed = perturbed_start(ro, options);
-    topt.warm_start_voltages = &perturbed;  // overrides any warm snapshot
+    topt.initial_voltages = &perturbed;
   }
 
   TransientResult tr = run_transient(ro.circuit(), topt);
@@ -144,30 +137,6 @@ RoMeasurement measure_streaming(RingOscillator& ro, const RoRunOptions& options,
   out.stalled = meter.stalled();
   out.stats = tr.stats;
 
-  if (warm != nullptr) {
-    // Refresh the snapshot for the next run of this configuration before the
-    // guard below can throw: the snapshot itself is always a valid state.
-    warm->voltages = std::move(tr.final_voltages);
-    warm->h = tr.final_h;
-    warm->valid = true;
-  }
-
-  if (warm_started && options.warm_start_guard) {
-    RoRunOptions cold_options = options;
-    cold_options.warm_start_guard = false;
-    const RoMeasurement cold = measure_streaming(ro, cold_options, nullptr);
-    const double tol = options.warm_start_guard_tol;
-    const bool period_ok =
-        !out.oscillating ||
-        std::fabs(out.period - cold.period) <= tol * cold.period;
-    if (out.oscillating != cold.oscillating || !period_ok) {
-      throw ConvergenceError(format(
-          "warm-start guard: warm run (osc=%d, T=%s) disagrees with cold run "
-          "(osc=%d, T=%s) beyond %.3g relative",
-          out.oscillating ? 1 : 0, format_time(out.period).c_str(),
-          cold.oscillating ? 1 : 0, format_time(cold.period).c_str(), tol));
-    }
-  }
   return out;
 }
 
@@ -195,9 +164,8 @@ DeltaTResult subtract(const RoMeasurement& t1, const RoMeasurement& t2,
 
 }  // namespace
 
-RoMeasurement measure_period(RingOscillator& ro, const RoRunOptions& options,
-                             RoWarmState* warm) {
-  if (options.streaming) return measure_streaming(ro, options, warm);
+RoMeasurement measure_period(RingOscillator& ro, const RoRunOptions& options) {
+  if (options.streaming) return measure_streaming(ro, options);
   return measure_recorded(ro, options);
 }
 
@@ -223,16 +191,11 @@ DeltaTResult measure_delta_t_single(RingOscillator& ro, int tsv_index,
   return subtract(t1, t2, "measure_delta_t_single");
 }
 
-RoWarmState* RoReferenceCache::warm_slot() {
-  if (!options_.streaming || !options_.warm_start) return nullptr;
-  return &warm_states_[ro_.bypassed()];
-}
-
 const RoMeasurement& RoReferenceCache::reference() {
   ro_.bypass_all();
   auto it = references_.find(ro_.vdd());
   if (it == references_.end()) {
-    RoMeasurement m = measure_period(ro_, options_, warm_slot());
+    RoMeasurement m = measure_period(ro_, options_);
     ++reference_runs_;
     if (!m.oscillating) {
       // The reference run must oscillate; if not, the DfT itself is broken.
@@ -272,7 +235,7 @@ DeltaTResult RoReferenceCache::measure_delta_t(int enabled_tsvs) {
   require(enabled_tsvs >= 1 && enabled_tsvs <= ro_.config().num_tsvs,
           "measure_delta_t: enabled_tsvs out of range");
   ro_.enable_first(enabled_tsvs);
-  const RoMeasurement t1 = measure_period(ro_, options_, warm_slot());
+  const RoMeasurement t1 = measure_period(ro_, options_);
   return finish(t1);
 }
 
@@ -280,7 +243,7 @@ DeltaTResult RoReferenceCache::measure_delta_t_single(int tsv_index) {
   require(tsv_index >= 0 && tsv_index < ro_.config().num_tsvs,
           "measure_delta_t_single: index out of range");
   ro_.enable_only(tsv_index);
-  const RoMeasurement t1 = measure_period(ro_, options_, warm_slot());
+  const RoMeasurement t1 = measure_period(ro_, options_);
   return finish(t1);
 }
 

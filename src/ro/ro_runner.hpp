@@ -49,25 +49,6 @@ struct RoRunOptions {
   double stall_window = 30e-9;
   double stall_epsilon = 1e-3;
 
-  /// Warm-start policy when the caller supplies an RoWarmState: seed the
-  /// run's initial voltages and step size from the previous run of the same
-  /// DUT configuration (the RoReferenceCache does this across the voltages
-  /// of a multi-VDD plan). Only the streaming path warm-starts.
-  ///
-  /// Off by default -- measured to cost ~one extra period per run here: a
-  /// cold start kicks the ring from the all-low state and gets its first
-  /// rising crossing almost immediately (discard_cycles absorbs the startup
-  /// distortion), while a warm snapshot resumes just past the previous run's
-  /// final rise, so the counter waits a full period for its first edge. See
-  /// DESIGN.md section 7.
-  bool warm_start = false;
-  /// Correctness guard (expensive -- for tests and debugging): every
-  /// warm-started run is re-run cold and the extracted period must agree to
-  /// `warm_start_guard_tol` (relative) with an identical oscillating
-  /// verdict, else ConvergenceError.
-  bool warm_start_guard = false;
-  double warm_start_guard_tol = 1e-3;
-
   // --- failure containment / retry escalation (campaign layer) -------------
   /// Per-die work budget shared by every transient of a die test, across all
   /// retry attempts: accepted steps are charged through the step observer and
@@ -93,16 +74,6 @@ struct RoRunOptions {
   void* transient_hook_ctx = nullptr;
 };
 
-/// Snapshot of a finished streaming run, reusable to warm-start the next run
-/// of the *same DUT configuration* (same ring, same bypass pattern) at a
-/// different supply voltage. The rails are re-seeded from the sources on
-/// every run, so a snapshot taken at one VDD is a valid start at another.
-struct RoWarmState {
-  bool valid = false;
-  Vector voltages;  ///< node-indexed final accepted voltages
-  double h = 0.0;   ///< controller step size at exit
-};
-
 struct RoMeasurement {
   bool oscillating = false;
   double period = 0.0;
@@ -114,11 +85,8 @@ struct RoMeasurement {
 };
 
 /// Measures the oscillation period of the ring in its current configuration
-/// (bypass pattern, VDD, variation sample). `warm`, when non-null, is both
-/// consumed (seed this run, subject to options.warm_start) and refreshed
-/// (snapshot for the next run of this configuration).
-RoMeasurement measure_period(RingOscillator& ro, const RoRunOptions& options = {},
-                             RoWarmState* warm = nullptr);
+/// (bypass pattern, VDD, variation sample).
+RoMeasurement measure_period(RingOscillator& ro, const RoRunOptions& options = {});
 
 struct DeltaTResult {
   bool valid = false;     ///< false when T1 does not oscillate (stuck-at)
@@ -153,10 +121,6 @@ DeltaTResult measure_delta_t_single(RingOscillator& ro, int tsv_index,
 /// or fault changes: call invalidate() (or build a fresh cache, which is
 /// what the tester does per die) after apply_variation() or any other
 /// reconfiguration of the DUT.
-///
-/// Across the voltages of a multi-VDD plan the cache also warm-starts every
-/// run from the last run of the same bypass pattern (options.warm_start):
-/// the per-TSV T1 at 0.95 V starts from that TSV's final state at 1.1 V.
 class RoReferenceCache {
  public:
   explicit RoReferenceCache(RingOscillator& ro, const RoRunOptions& options = {})
@@ -169,10 +133,7 @@ class RoReferenceCache {
   DeltaTResult measure_delta_t(int enabled_tsvs);
   DeltaTResult measure_delta_t_single(int tsv_index);
 
-  void invalidate() {
-    references_.clear();
-    warm_states_.clear();
-  }
+  void invalidate() { references_.clear(); }
   /// Reference transients actually run (cache misses).
   size_t reference_runs() const { return reference_runs_; }
 
@@ -182,13 +143,10 @@ class RoReferenceCache {
   /// ConvergenceError when the reference does not oscillate (broken DfT).
   const RoMeasurement& reference();
   DeltaTResult finish(const RoMeasurement& t1);
-  /// Warm-start slot for the ring's current bypass pattern.
-  RoWarmState* warm_slot();
 
   RingOscillator& ro_;
   RoRunOptions options_;
   std::map<double, RoMeasurement> references_;  ///< keyed by exact VDD
-  std::map<std::vector<bool>, RoWarmState> warm_states_;
   size_t reference_runs_ = 0;
 };
 

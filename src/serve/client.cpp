@@ -65,8 +65,8 @@ JobSummary ServeClient::submit_and_stream(
   require(type == MsgType::kJobAccepted,
           format("serve: expected job-accepted, got %s", msg_type_name(type)));
   const uint64_t job = body.get_uint64("job");
-  require(body.get_string("fingerprint") == spec.fingerprint(),
-          "serve: server acknowledged a different campaign fingerprint");
+  require_same_campaign(body.get_string("fingerprint"), spec,
+                        "serve: the job the server accepted");
 
   bool cancel_sent = false;
   while (recv_message(fd_.get(), &type, &body)) {

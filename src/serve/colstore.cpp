@@ -420,11 +420,8 @@ ColStoreReadResult read_colstore(const std::string& path) {
 ColStoreReadResult read_colstore(const std::string& path,
                                  const CampaignSpec& spec) {
   ColStoreReadResult result = read_colstore(path);
-  require(result.fingerprint == spec.fingerprint(),
-          format("colstore: '%s' belongs to a different campaign\n"
-                 "  store: %s\n  spec:  %s",
-                 path.c_str(), result.fingerprint.c_str(),
-                 spec.fingerprint().c_str()));
+  require_same_campaign(result.fingerprint, spec,
+                        format("colstore: '%s'", path.c_str()));
   return result;
 }
 
@@ -459,8 +456,8 @@ std::unique_ptr<ColStoreWriter> ColStoreWriter::open_append(
   result->fingerprint = out.fingerprint;
   result->tsv_width = out.tsv_width;
   result->stats = out.stats;
-  require(out.fingerprint == spec.fingerprint(),
-          format("colstore: '%s' belongs to a different campaign", path.c_str()));
+  require_same_campaign(out.fingerprint, spec,
+                        format("colstore: '%s'", path.c_str()));
 
   std::unique_ptr<ColStoreWriter> writer(
       new ColStoreWriter(path, spec.tsvs_per_die));
@@ -553,9 +550,8 @@ size_t export_colstore_to_jsonl(const std::string& colstore_path,
                   ++count;
                 },
                 &fingerprint);
-  require(fingerprint == spec.fingerprint(),
-          format("colstore: '%s' belongs to a different campaign",
-                 colstore_path.c_str()));
+  require_same_campaign(fingerprint, spec,
+                        format("colstore: '%s'", colstore_path.c_str()));
   store->sync();
   return count;
 }

@@ -1,19 +1,13 @@
 #include "serve/protocol.hpp"
 
+#include <climits>
 #include <cstdlib>
+
 #include "util/error.hpp"
 #include "util/framing.hpp"
 #include "util/strings.hpp"
 
 namespace rotsv {
-namespace {
-
-double record_number_or(const JsonRecord& rec, const std::string& key,
-                        double fallback) {
-  return rec.has(key) ? rec.get_number(key) : fallback;
-}
-
-}  // namespace
 
 const char* msg_type_name(MsgType type) {
   switch (type) {
@@ -72,141 +66,6 @@ void send_wire_error(int fd, const WireError& error) {
   send_message(fd, MsgType::kWireError, error.to_record());
 }
 
-JsonRecord campaign_spec_to_record(const CampaignSpec& spec) {
-  std::string volts;
-  for (size_t i = 0; i < spec.tester.voltages.size(); ++i) {
-    if (i > 0) volts += ',';
-    volts += format("%.17g", spec.tester.voltages[i]);
-  }
-  JsonRecord rec;
-  rec.set("lot", spec.lot_id)
-      .set("wafers", spec.wafers)
-      .set("rows", spec.rows)
-      .set("cols", spec.cols)
-      .set("tsvs", spec.tsvs_per_die)
-      .set("seed", spec.seed)
-      .set("threads", static_cast<uint64_t>(spec.threads))
-      .set("open_rate", spec.mix.open_rate)
-      .set("leak_rate", spec.mix.leak_rate)
-      .set("open_r_min", spec.mix.open_r_min)
-      .set("open_r_max", spec.mix.open_r_max)
-      .set("open_x_min", spec.mix.open_x_min)
-      .set("open_x_max", spec.mix.open_x_max)
-      .set("leak_r_min", spec.mix.leak_r_min)
-      .set("leak_r_max", spec.mix.leak_r_max)
-      .set("edge_bias", spec.mix.edge_bias)
-      .set("group", spec.tester.group_size)
-      .set("voltages", volts)
-      .set("samples", spec.tester.calibration_samples)
-      .set("sigma", spec.tester.guard_band_sigma)
-      .set("tester_seed", spec.tester.seed)
-      .set("run_discard", spec.tester.run.discard_cycles)
-      .set("run_measure", spec.tester.run.measure_cycles)
-      .set("run_first_window", spec.tester.run.first_window)
-      .set("run_max_time", spec.tester.run.max_time)
-      .set("run_dt_max", spec.tester.run.dt_max)
-      .set("run_err_target", spec.tester.run.err_target)
-      .set("run_err_reject", spec.tester.run.err_reject)
-      .set("run_stall_window", spec.tester.run.stall_window)
-      .set("run_stall_epsilon", spec.tester.run.stall_epsilon)
-      .set("run_streaming", spec.tester.run.streaming)
-      .set("retries", spec.retry.retries)
-      .set("retry_ic", spec.retry.ic_perturbation)
-      .set("retry_gmin", spec.retry.escalated_gmin)
-      .set("budget_steps", spec.tester.die_budget.max_steps)
-      .set("budget_seconds", spec.tester.die_budget.max_seconds);
-  if (!spec.preset_bands.empty()) {
-    rec.set("bands", bands_to_string(spec.preset_bands));
-  }
-  return rec;
-}
-
-CampaignSpec campaign_spec_from_record(const JsonRecord& rec) {
-  CampaignSpec spec;
-  spec.lot_id = rec.get_string("lot");
-  spec.wafers = static_cast<int>(rec.get_number("wafers"));
-  spec.rows = static_cast<int>(rec.get_number("rows"));
-  spec.cols = static_cast<int>(rec.get_number("cols"));
-  spec.tsvs_per_die = static_cast<int>(rec.get_number("tsvs"));
-  spec.seed = rec.get_uint64("seed");
-  spec.threads = static_cast<size_t>(rec.get_uint64("threads"));
-  spec.mix.open_rate = rec.get_number("open_rate");
-  spec.mix.leak_rate = rec.get_number("leak_rate");
-  spec.mix.open_r_min = rec.get_number("open_r_min");
-  spec.mix.open_r_max = rec.get_number("open_r_max");
-  spec.mix.open_x_min = rec.get_number("open_x_min");
-  spec.mix.open_x_max = rec.get_number("open_x_max");
-  spec.mix.leak_r_min = rec.get_number("leak_r_min");
-  spec.mix.leak_r_max = rec.get_number("leak_r_max");
-  spec.mix.edge_bias = rec.get_number("edge_bias");
-  spec.tester.group_size = static_cast<int>(rec.get_number("group"));
-  spec.tester.voltages.clear();
-  for (const std::string& tok : split(rec.get_string("voltages"), ",")) {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    require(end != tok.c_str() && *end == '\0',
-            format("serve: bad voltage '%s' in spec record", tok.c_str()));
-    spec.tester.voltages.push_back(v);
-  }
-  spec.tester.calibration_samples =
-      static_cast<int>(rec.get_number("samples"));
-  spec.tester.guard_band_sigma = rec.get_number("sigma");
-  spec.tester.seed = rec.get_uint64("tester_seed");
-  spec.tester.run.discard_cycles =
-      static_cast<int>(rec.get_number("run_discard"));
-  spec.tester.run.measure_cycles =
-      static_cast<int>(rec.get_number("run_measure"));
-  spec.tester.run.first_window = rec.get_number("run_first_window");
-  spec.tester.run.max_time = rec.get_number("run_max_time");
-  spec.tester.run.dt_max = rec.get_number("run_dt_max");
-  spec.tester.run.err_target = rec.get_number("run_err_target");
-  spec.tester.run.err_reject = rec.get_number("run_err_reject");
-  spec.tester.run.stall_window = rec.get_number("run_stall_window");
-  spec.tester.run.stall_epsilon = rec.get_number("run_stall_epsilon");
-  spec.tester.run.streaming = rec.get_bool("run_streaming");
-  spec.retry.retries = static_cast<int>(rec.get_number("retries"));
-  spec.retry.ic_perturbation = rec.get_number("retry_ic");
-  spec.retry.escalated_gmin = rec.get_number("retry_gmin");
-  spec.tester.die_budget.max_steps = rec.get_uint64("budget_steps");
-  spec.tester.die_budget.max_seconds =
-      record_number_or(rec, "budget_seconds", 0.0);
-  if (rec.has("bands")) {
-    spec.preset_bands = bands_from_string(rec.get_string("bands"));
-  }
-  return spec;
-}
-
-std::string bands_to_string(
-    const std::vector<std::pair<double, double>>& bands) {
-  std::string out;
-  for (size_t i = 0; i < bands.size(); ++i) {
-    if (i > 0) out += ',';
-    out += format("%.17g:%.17g", bands[i].first, bands[i].second);
-  }
-  return out;
-}
-
-std::vector<std::pair<double, double>> bands_from_string(
-    const std::string& text) {
-  std::vector<std::pair<double, double>> bands;
-  for (const std::string& tok : split(text, ",")) {
-    const size_t colon = tok.find(':');
-    require(colon != std::string::npos,
-            format("serve: bad band '%s' (want lo:hi)", tok.c_str()));
-    char* end = nullptr;
-    const std::string lo_text = tok.substr(0, colon);
-    const std::string hi_text = tok.substr(colon + 1);
-    const double lo = std::strtod(lo_text.c_str(), &end);
-    require(end != lo_text.c_str() && *end == '\0',
-            format("serve: bad band low endpoint '%s'", lo_text.c_str()));
-    const double hi = std::strtod(hi_text.c_str(), &end);
-    require(end != hi_text.c_str() && *end == '\0',
-            format("serve: bad band high endpoint '%s'", hi_text.c_str()));
-    bands.emplace_back(lo, hi);
-  }
-  return bands;
-}
-
 std::string dice_to_string(const std::vector<int>& dice) {
   std::string out;
   for (size_t i = 0; i < dice.size(); ++i) {
@@ -222,7 +81,7 @@ std::vector<int> dice_from_string(const std::string& text,
   for (const std::string& tok : split(text, ",")) {
     char* end = nullptr;
     const long g = std::strtol(tok.c_str(), &end, 10);
-    require(end != tok.c_str() && *end == '\0',
+    require(end != tok.c_str() && *end == '\0' && g >= 0 && g <= INT_MAX,
             format("serve: bad die index '%s' in shard", tok.c_str()));
     int wafer = 0, row = 0, col = 0;
     spec.die_site(static_cast<int>(g), &wafer, &row, &col);  // range check

@@ -19,6 +19,9 @@
 //    -> assign-shard {shard, dice CSV}    <- verdict {die record}  (xN)
 //                                         <- shard-done {shard, dice}
 //
+// Spec payloads (submit-job, worker-init) use campaign_spec_to_record(), so a
+// worker decodes exactly the fields the campaign fingerprint covers.
+//
 // Error taxonomy rides the existing util/failure FailureKind names, so a
 // wire error is machine-readable with the same vocabulary as a quarantined
 // die's FailureRecord. Preflight rejections carry the full diagnostic list
@@ -91,22 +94,6 @@ class RemoteError : public Error {
  private:
   WireError wire_;
 };
-
-/// CampaignSpec wire codec. Flat-record encoding of every field the CLI and
-/// the campaign fingerprint expose: lot geometry, defect mix, tester plan
-/// (including the transient run options that --fast tunes), retry policy,
-/// budgets, preset bands, seed. Round-trips exactly: decoding an encoded
-/// spec yields an identical fingerprint, which the scheduler asserts before
-/// handing shards to workers.
-JsonRecord campaign_spec_to_record(const CampaignSpec& spec);
-CampaignSpec campaign_spec_from_record(const JsonRecord& record);
-
-/// Pass-band list codec ("lo:hi,lo:hi,..." with %.17g endpoints) used inside
-/// worker-init and job-accepted payloads.
-std::string bands_to_string(
-    const std::vector<std::pair<double, double>>& bands);
-std::vector<std::pair<double, double>> bands_from_string(
-    const std::string& text);
 
 /// Die-index shard list codec ("3,4,9"). Decoding validates every index
 /// against the spec's grid.

@@ -9,23 +9,23 @@
 namespace rotsv {
 namespace {
 
-/// Builds the node-indexed initial-condition vector: warm-start snapshot (if
-/// any), then the cached rail scan, then explicit initial conditions -- each
-/// layer overriding the previous one.
-Vector initial_voltages(const Circuit& circuit, const TransientOptions& options) {
+/// Builds the node-indexed initial-condition vector: caller-supplied initial
+/// voltages (if any), then the cached rail scan, then explicit initial
+/// conditions -- each layer overriding the previous one.
+Vector starting_voltages(const Circuit& circuit, const TransientOptions& options) {
   const size_t n = circuit.nodes().unknown_count() + 1;
   Vector v;
-  if (options.warm_start_voltages != nullptr) {
-    require(options.warm_start_voltages->size() == n,
-            "transient: warm-start vector size does not match the circuit");
-    v = *options.warm_start_voltages;
+  if (options.initial_voltages != nullptr) {
+    require(options.initial_voltages->size() == n,
+            "transient: initial-voltage vector size does not match the circuit");
+    v = *options.initial_voltages;
     v[0] = 0.0;
   } else {
     v.assign(n, 0.0);
   }
   // Nodes tied to ground-referenced DC sources start at the source value so
   // rails are correct even when the caller forgets to list them (or the
-  // warm-start snapshot came from a different VDD).
+  // supplied initial voltages put them elsewhere).
   for (const VoltageSource* vs : circuit.rail_sources()) {
     v[static_cast<size_t>(vs->positive().value)] = vs->waveform().at(0.0);
   }
@@ -59,7 +59,7 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   Vector state_prev(circuit.state_count(), 0.0);
   Vector state_now(circuit.state_count(), 0.0);
 
-  Vector v_prev = initial_voltages(circuit, options);  // accepted at t_prev
+  Vector v_prev = starting_voltages(circuit, options);  // accepted at t_prev
   Vector v_prev2 = v_prev;                             // accepted before that
   double h_prev = options.dt_initial;
 

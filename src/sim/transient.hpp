@@ -49,11 +49,11 @@ struct TransientOptions {
   /// Optional step observer (see TransientObserver above).
   TransientObserver observer;
 
-  /// Optional warm start: node-indexed voltages used as the starting point
-  /// instead of the flat zero vector (size must be unknown_count() + 1).
-  /// Rail sources and explicit initial_conditions still override, so the
-  /// rails are correct even when the snapshot came from a different VDD.
-  const Vector* warm_start_voltages = nullptr;
+  /// Optional node-indexed starting voltages instead of the flat zero vector
+  /// (size must be unknown_count() + 1); the retry ladder's perturbed-IC
+  /// rung seeds runs this way. Rail sources and explicit initial_conditions
+  /// still override, so the rails are always exact.
+  const Vector* initial_voltages = nullptr;
 
   /// Abort the run (ConvergenceError) after this many accepted steps;
   /// guards against runaway simulations of non-oscillating circuits.
@@ -84,8 +84,7 @@ struct TransientStats {
 struct TransientResult {
   WaveformSet waveforms;  ///< empty when options.record_waveforms is false
   TransientStats stats;
-  /// Final accepted state, exported even when nothing is recorded: the
-  /// warm-start seed for the next run of the same DUT configuration.
+  /// Final accepted state, exported even when nothing is recorded.
   Vector final_voltages;
   double final_time = 0.0;
   double final_h = 0.0;  ///< controller step choice at exit

@@ -4,11 +4,13 @@
 // cheap synthetic cases.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "campaign/campaign.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -17,6 +19,7 @@
 namespace rotsv {
 namespace {
 
+using testutil::config_error;
 using testutil::fast_run;
 
 /// 3x4 wafer: the four corners fall off the inscribed circle -> 8 dice.
@@ -88,6 +91,15 @@ TEST(CampaignSpec, ValidationRejectsNonsense) {
   spec = small_campaign();
   spec.mix.leak_r_min = -1.0;
   EXPECT_THROW(spec.validate(), ConfigError);
+  // 1000 x 2000 x 2000 sites overflow int in total_dice(): refused before
+  // anything computes it, by validate() and by the preflight alike.
+  spec = small_campaign();
+  spec.wafers = 1000;
+  spec.rows = spec.cols = 2000;
+  EXPECT_THROW(spec.validate(), ConfigError);
+  EXPECT_TRUE(analyze_campaign(spec).has(DiagCode::kBadCampaignGrid));
+  spec.wafers = spec.rows = spec.cols = INT_MAX;
+  EXPECT_FALSE(spec.grid_fits_int());
 }
 
 TEST(CampaignSpec, GroundTruthIsDeterministicAndSeedSensitive) {
@@ -206,10 +218,13 @@ TEST(ResultStore, RoundTripsAndValidatesFingerprint) {
   EXPECT_EQ(state.completed[0].verdict, TsvVerdict::kResistiveOpen);
   EXPECT_EQ(state.completed[0].sim_steps, 1234567u);
 
-  // A checkpoint from a different campaign must be refused.
+  // A checkpoint from a different campaign must be refused, even when only
+  // a run setting differs (the `--fast` case), and the refusal says which.
   CampaignSpec other = spec;
-  other.seed = spec.seed + 1;
-  EXPECT_THROW(load_resume_state(path, other), ConfigError);
+  other.tester.run.measure_cycles = 4;
+  EXPECT_NE(config_error([&] { (void)load_resume_state(path, other); })
+                .find("different campaign: tester.run.measure_cycles is 3 there, 4 here"),
+            std::string::npos);
   // Missing file too.
   EXPECT_THROW(load_resume_state(path + ".missing", spec), ConfigError);
   std::remove(path.c_str());
@@ -301,8 +316,8 @@ TEST(CampaignRun, ResumeProducesIdenticalAggregateReport) {
 // --- golden regression against the pre-streaming seed ------------------------
 //
 // Bands and verdict strings below were captured from the seed build's
-// recorded two-window measurement path (before the streaming meter, early
-// exit and warm start existed). The streaming rewrite changes the measured
+// recorded two-window measurement path (before the streaming meter and early
+// exit existed). The streaming rewrite changes the measured
 // period values slightly -- the mean is now over exactly measure_cycles
 // instead of every cycle in the window -- but the counter quantization
 // (14-bit, 5 us window) and the +/- 80 ps band must absorb that: every
@@ -333,13 +348,11 @@ TEST(CampaignRun, GoldenVerdictsUnchangedFromRecordedSeed) {
 }
 
 TEST(CampaignRun, GoldenVerdictsUnchangedOnMultiVoltagePlan) {
-  // Two voltages with warm start opted in: every 0.9 V run seeds from the
-  // same die's 1.1 V final state, and the verdicts must still match the
-  // cold-start seed capture exactly.
+  // Two voltages: the verdicts must still match the single-voltage seed
+  // capture exactly.
   CampaignSpec spec = small_campaign();
   spec.lot_id = "golden-mv";
   spec.tester.voltages = {1.1, 0.9};
-  spec.tester.run.warm_start = true;
   spec.preset_bands = {
       {kSeedNominalDt11 - 80e-12, kSeedNominalDt11 + 80e-12},
       {kSeedNominalDt09 - 120e-12, kSeedNominalDt09 + 120e-12}};

@@ -71,7 +71,6 @@ std::string verdict_string(const std::vector<DieResult>& results) {
 
 TEST(Chaos, EscalationLadderRungs) {
   RoRunOptions base = fast_run();
-  base.warm_start = true;
   RetryPolicy policy;
   policy.ic_perturbation = 0.07;
   policy.escalated_gmin = 2e-9;
@@ -79,15 +78,12 @@ TEST(Chaos, EscalationLadderRungs) {
   // Rung 0 is byte-for-byte the configured run: a clean first attempt must
   // be indistinguishable from a build without the containment layer.
   const RoRunOptions r0 = escalate_run(base, policy, 0, 123);
-  EXPECT_TRUE(r0.warm_start);
   EXPECT_EQ(r0.ic_perturbation, 0.0);
   EXPECT_EQ(r0.newton_gmin, 0.0);
   EXPECT_TRUE(r0.streaming);
 
-  // Rung 1: cold start + perturbed ICs from the given stream.
+  // Rung 1: perturbed ICs from the given stream.
   const RoRunOptions r1 = escalate_run(base, policy, 1, 123);
-  EXPECT_FALSE(r1.warm_start);
-  EXPECT_FALSE(r1.warm_start_guard);
   EXPECT_EQ(r1.ic_perturbation, 0.07);
   EXPECT_EQ(r1.ic_seed, 123u);
   EXPECT_EQ(r1.newton_gmin, 0.0);

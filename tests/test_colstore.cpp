@@ -5,9 +5,11 @@
 // No transistor-level simulation: die results here are hand-built fixtures.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "serve/colstore.hpp"
 #include "serve/protocol.hpp"
 #include "serve/socket.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/framing.hpp"
 #include "util/jsonl.hpp"
@@ -132,22 +135,64 @@ TEST(Framing, CorruptionIsLoudNotSilent) {
 
 TEST(ServeProtocol, CampaignSpecSurvivesTheWire) {
   CampaignSpec spec = store_spec();
-  // Uneven doubles: the %.17g encoding must round-trip them exactly.
-  spec.tester.guard_band_sigma = 3.7000000000000002;
-  spec.tester.run.first_window = 40e-9;
-  spec.mix.open_rate = 0.1234567890123456;
-  spec.mix.edge_bias = 1.0 / 3.0;
-  spec.retry.ic_perturbation = 0.05 + 1e-17;
   spec.preset_bands = {{-8.05e-11, 9.95e-11}, {1.0 / 7.0, 2.0 / 7.0}};
-  spec.tester.die_budget.max_steps = (1ull << 60) + 3;
+  spec.tester.die_budget.max_steps = (1ull << 60) + 3;  // beyond 2^53
 
-  const CampaignSpec back = campaign_spec_from_record(
-      campaign_spec_to_record(spec));
-  EXPECT_EQ(back.fingerprint(), spec.fingerprint());
-  ASSERT_EQ(back.preset_bands.size(), 2u);
-  EXPECT_EQ(back.preset_bands[0].first, spec.preset_bands[0].first);
-  EXPECT_EQ(back.tester.die_budget.max_steps,
-            spec.tester.die_budget.max_steps);
+  // Every listed field, moved by the smallest step its type allows (one ulp
+  // for doubles), changes the fingerprint and survives the wire exactly.
+  // Integer fields fed a value outside their type, or a fraction, are
+  // refused by key (untrusted submit-job numbers never reach an int cast).
+  const JsonRecord good = campaign_spec_to_record(spec);
+  size_t entries = 0;
+  for (;; ++entries) {
+    CampaignSpec moved = spec;
+    size_t index = 0;
+    std::string key;
+    visit_spec_fields(moved, [&](const char* k, auto& v) {
+      using T = std::remove_cvref_t<decltype(v)>;
+      if (index++ != entries) return;
+      key = k;
+      if constexpr (std::is_same_v<T, std::string>) {
+        v += "x";
+      } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+        v = static_cast<T>(1 - static_cast<int>(v));
+      } else if constexpr (std::is_same_v<T, double>) {
+        v = std::nextafter(v, 1e300);
+      } else if constexpr (std::is_class_v<T>) {
+        v.push_back(v.back());  // the voltage plan and the preset bands
+      } else {
+        v += 1;
+      }
+      if constexpr (std::is_enum_v<T> || std::is_same_v<T, int> ||
+                    std::is_same_v<T, uint64_t>) {
+        for (double bad : {1e300, -1e300, 2.5}) {
+          JsonRecord rec = good;
+          rec.set(key, bad);
+          EXPECT_NE(testutil::config_error([&] { (void)campaign_spec_from_record(rec); })
+                        .find("'" + key + "'"),
+                    std::string::npos)
+              << key << " = " << bad;
+        }
+      }
+    });
+    if (key.empty()) break;  // walked past the last entry
+    EXPECT_NE(moved.fingerprint(), spec.fingerprint()) << key;
+    EXPECT_EQ(campaign_spec_from_record(campaign_spec_to_record(moved))
+                  .fingerprint(),
+              moved.fingerprint())
+        << key;
+  }
+  EXPECT_EQ(entries, 48u);
+
+  // Thread count is not a verdict setting, but it rides the wire.
+  CampaignSpec threaded = spec;
+  threaded.threads = spec.threads + 7;
+  EXPECT_EQ(threaded.fingerprint(), spec.fingerprint());
+  EXPECT_EQ(campaign_spec_from_record(campaign_spec_to_record(threaded)).threads,
+            threaded.threads);
+  JsonRecord bad_threads = good;
+  bad_threads.set("threads", 2.5);
+  EXPECT_THROW(campaign_spec_from_record(bad_threads), ConfigError);
 }
 
 TEST(ServeProtocol, BandsDiceAndErrorCodecs) {
@@ -168,6 +213,8 @@ TEST(ServeProtocol, BandsDiceAndErrorCodecs) {
   EXPECT_EQ(dice_from_string(dice_to_string(dice), spec), dice);
   // 999 lies outside the 3x4 grid; a shard naming it is corrupt.
   EXPECT_THROW(dice_from_string("999", spec), Error);
+  // 2^32 + 1 would wrap to die 1 through an unchecked int cast.
+  EXPECT_THROW(dice_from_string("4294967297", spec), Error);
 
   WireError err;
   err.kind = FailureKind::kStepBudget;
@@ -237,10 +284,17 @@ TEST(ColStore, WriteReadRoundTripWithFooter) {
     EXPECT_EQ(record_json(result.records[i]), record_json(dice[i])) << i;
   }
 
-  // A different campaign cannot read this store.
-  CampaignSpec other = spec;
-  other.seed = 78;
-  EXPECT_THROW(read_colstore(path, other), Error);
+  // A campaign that differs only in a run setting (`--fast` lowers
+  // measure_cycles) cannot read or extend this store; the refusal says why.
+  CampaignSpec fast = spec;
+  fast.tester.run.measure_cycles = 3;
+  const std::string why = "different campaign: tester.run.measure_cycles is 4 there, 3 here";
+  EXPECT_NE(testutil::config_error([&] { (void)read_colstore(path, fast); }).find(why),
+            std::string::npos);
+  EXPECT_NE(testutil::config_error([&] {
+              (void)ColStoreWriter::open_append(path, fast, nullptr);
+            }).find(why),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -3,8 +3,11 @@
 // same code paths as the paper-scale experiments.
 #pragma once
 
+#include <string>
+
 #include "ro/ring_oscillator.hpp"
 #include "ro/ro_runner.hpp"
+#include "util/error.hpp"
 
 namespace rotsv::testutil {
 
@@ -26,6 +29,17 @@ inline RingOscillatorConfig small_ring(const TsvFault& fault = TsvFault::none(),
   cfg.vdd = vdd;
   if (fault.is_fault()) cfg.faults = {fault};
   return cfg;
+}
+
+/// The message of the ConfigError `f` throws, or "" when it throws none.
+template <typename F>
+std::string config_error(F&& f) {
+  try {
+    f();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 }  // namespace rotsv::testutil

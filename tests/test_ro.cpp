@@ -346,40 +346,6 @@ TEST(RoRunner, StreamingStuckRingStallsInsteadOfSimulatingTheFullWindow) {
   EXPECT_GE(d.early_exits, 1u);
 }
 
-TEST(RoReferenceCache, WarmStartAcrossVoltagesMatchesColdWithinTolerance) {
-  RingOscillator warm_ro(small_ring());
-  RoRunOptions wopt = fast_run();
-  wopt.warm_start = true;  // opt-in: off by default (see RoRunOptions)
-  RoReferenceCache cache(warm_ro, wopt);
-  (void)cache.measure_delta_t_single(0);  // 1.1 V: fills the warm slots
-  warm_ro.set_vdd(0.95);
-  const DeltaTResult warm = cache.measure_delta_t_single(0);
-
-  RingOscillator cold_ro(small_ring());
-  cold_ro.set_vdd(0.95);
-  const DeltaTResult cold = measure_delta_t_single(cold_ro, 0, fast_run());
-
-  ASSERT_TRUE(warm.valid);
-  ASSERT_TRUE(cold.valid);
-  EXPECT_NEAR(warm.t1, cold.t1, 0.01 * cold.t1);
-  EXPECT_NEAR(warm.t2, cold.t2, 0.01 * cold.t2);
-}
-
-TEST(RoRunner, WarmStartGuardPassesOnVoltageSweep) {
-  // The guard re-runs every warm-started measurement cold and throws on
-  // disagreement; a healthy multi-VDD sweep must sail through it.
-  RoRunOptions opt = fast_run();
-  opt.warm_start = true;
-  opt.warm_start_guard = true;
-  RingOscillator ro(small_ring());
-  RoReferenceCache cache(ro, opt);
-  for (double vdd : {1.1, 0.95, 0.85}) {
-    ro.set_vdd(vdd);
-    const DeltaTResult d = cache.measure_delta_t_single(0);
-    EXPECT_TRUE(d.valid) << "vdd=" << vdd;
-  }
-}
-
 TEST(RoRunner, CaptureWaveformsRecordsRequestedNodes) {
   RingOscillator ro(small_ring());
   ro.enable_first(1);

@@ -309,28 +309,28 @@ TEST(Transient, RecordWaveformsOffStillReportsFinalState) {
   EXPECT_GT(r.final_h, 0.0);
 }
 
-TEST(Transient, WarmStartVoltagesSeedTheInitialState) {
+TEST(Transient, InitialVoltagesSeedTheInitialState) {
   Circuit c;
   const NodeId a = c.node("a");
   c.add_resistor("r", a, kGround, 1000.0);
   c.add_capacitor("cl", a, kGround, 1e-12);
   TransientOptions t;
   t.t_stop = 3e-9;
-  Vector warm(c.nodes().unknown_count() + 1, 0.0);
-  warm[static_cast<size_t>(a.value)] = 1.0;
-  t.warm_start_voltages = &warm;
+  Vector start(c.nodes().unknown_count() + 1, 0.0);
+  start[static_cast<size_t>(a.value)] = 1.0;
+  t.initial_voltages = &start;
   const TransientResult r = run_transient(c, t);
   // Behaves exactly like the equivalent initial condition: discharge from 1 V.
   EXPECT_NEAR(r.waveforms.values(a).front(), 1.0, 1e-12);
   EXPECT_NEAR(r.waveforms.sample_at(a, 1e-9), std::exp(-1.0), 2e-3);
 
-  Vector wrong_size(warm.size() + 3, 0.0);
-  t.warm_start_voltages = &wrong_size;
+  Vector wrong_size(start.size() + 3, 0.0);
+  t.initial_voltages = &wrong_size;
   EXPECT_THROW(run_transient(c, t), ConfigError);
 }
 
-TEST(Transient, WarmStartRailsReseededFromSources) {
-  // A snapshot taken at another VDD carries a stale rail value; the rail scan
+TEST(Transient, InitialVoltagesRailsReseededFromSources) {
+  // Supplied initial voltages may carry a stale rail value; the rail scan
   // must overwrite it with the source's actual level before the run starts.
   Circuit c;
   const NodeId vdd = c.node("vdd");
@@ -340,9 +340,9 @@ TEST(Transient, WarmStartRailsReseededFromSources) {
   c.add_resistor("r2", mid, kGround, 1000.0);
   TransientOptions t;
   t.t_stop = 1e-10;
-  Vector warm(c.nodes().unknown_count() + 1, 0.0);
-  warm[static_cast<size_t>(vdd.value)] = 0.4;  // stale
-  t.warm_start_voltages = &warm;
+  Vector start(c.nodes().unknown_count() + 1, 0.0);
+  start[static_cast<size_t>(vdd.value)] = 0.4;  // stale
+  t.initial_voltages = &start;
   const TransientResult r = run_transient(c, t);
   EXPECT_NEAR(r.waveforms.values(vdd).front(), 1.1, 1e-12);
 }

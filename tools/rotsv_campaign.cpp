@@ -226,9 +226,8 @@ int main(int argc, char** argv) {
     if (!server_addr.empty()) {
       spec.validate();
       const int total = spec.total_dice();
-      std::printf("campaign %s via %s: %d dice, fingerprint %s\n",
-                  spec.lot_id.c_str(), server_addr.c_str(), total,
-                  spec.fingerprint().c_str());
+      std::printf("campaign %s via %s: %d dice\n", spec.lot_id.c_str(),
+                  server_addr.c_str(), total);
       ServeClient client(server_addr);
       // Client-side streaming aggregation: wafer maps and the quality ledger
       // build up verdict by verdict, bit-identical to a local run's.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "digital/counter.hpp"
@@ -385,6 +386,13 @@ struct HardwareCase {
   double period;
   double phase;
 };
+
+// Names each case by its fields, so the test name does not hold the padding
+// bytes after `backend`.
+void PrintTo(const HardwareCase& c, std::ostream* os) {
+  *os << (c.backend == MeterBackend::kLfsr ? "lfsr" : "counter") << ' ' << c.period << ' '
+      << c.phase;
+}
 
 class HardwareMeterTest : public ::testing::TestWithParam<HardwareCase> {};
 

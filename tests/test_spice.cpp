@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "sim/newton.hpp"
 #include "sim/transient.hpp"
@@ -168,6 +170,20 @@ TEST(Parser, IcCardFeedsTransient) {
 struct BadNetlistCase {
   const char* text;
 };
+
+// Names each case by its netlist lines, so the test name does not hold the
+// pointer.
+void PrintTo(const BadNetlistCase& c, std::ostream* os) {
+  std::string line;
+  for (const char* p = c.text; *p != '\0'; ++p) {
+    if (*p != '\n') {
+      line += *p;
+    } else if (p[1] != '\0') {
+      line += " / ";
+    }
+  }
+  *os << line;
+}
 
 class ParserErrorTest : public ::testing::TestWithParam<BadNetlistCase> {};
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <set>
 
 #include "util/ascii_chart.hpp"
@@ -59,6 +60,9 @@ struct SpiceNumberCase {
   const char* text;
   double expected;
 };
+
+// Names each case by its text, so the test name does not hold the pointer.
+void PrintTo(const SpiceNumberCase& c, std::ostream* os) { *os << c.text; }
 
 class SpiceNumberTest : public ::testing::TestWithParam<SpiceNumberCase> {};
 
